@@ -8,7 +8,9 @@ applies ``(M - theta I)^{-1}`` in O(n p).
 
 The benchmark sweeps the dynamic order at a fixed port count and measures:
 
-* SMW operator construction + apply (the fast path);
+* SMW operator construction + apply (the fast path), and the microbench
+  layer of the eigensweep kernels: microseconds per SMW apply and per
+  Arnoldi step (``d = 60``, operator apply plus Gram-Schmidt);
 * a dense LU solve of ``(M - theta I) x = b`` (the naive alternative);
 * the full dense eigensolution (the baseline the paper calls
   "unacceptable for large-size macromodels").
@@ -21,10 +23,12 @@ import pytest
 import scipy.linalg
 
 from _config import BENCH_SCALE, write_artifact
+from repro.core.arnoldi import build_arnoldi
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.synth.generator import random_simo_macromodel
 
 PORTS = 8
+KRYLOV_DIM = 60  # the paper's Arnoldi dimension d
 BASE = max(64, int(1000 * BENCH_SCALE))
 ORDERS = [BASE, 2 * BASE, 4 * BASE]
 
@@ -98,13 +102,21 @@ def test_scaling_report(benchmark):
         return best
 
     def run():
-        rows = [f"{'n':>8}{'smw apply':>14}{'dense solve':>14}{'dense eig':>14}"]
+        rows = [
+            f"{'n':>8}{'smw apply':>14}{'dense solve':>14}{'dense eig':>14}"
+            f"{'apply us':>12}{'step us':>12}"
+        ]
         rows.append("-" * len(rows[0]))
         timings = []
         for order in ORDERS:
             _, op, x = get_setup(order)
             si = op.shift_invert(1.0j)
             t_smw = measure(lambda: si.matvec(x))
+            # Per-apply cost amortized over a burst, and per-step cost of a
+            # d-dimensional Arnoldi build (apply plus orthogonalization).
+            t_burst = measure(lambda: [si.matvec(x) for _ in range(50)])
+            t_build = measure(lambda: build_arnoldi(si.matvec, x, KRYLOV_DIM))
+            steps = build_arnoldi(si.matvec, x, KRYLOV_DIM).dimension
             m = op.dense().astype(complex)
             shifted = m - 1.0j * np.eye(m.shape[0])
             t_dense = measure(
@@ -114,6 +126,7 @@ def test_scaling_report(benchmark):
             timings.append((order, t_smw, t_dense, t_eig))
             rows.append(
                 f"{order:>8}{t_smw:>14.6f}{t_dense:>14.6f}{t_eig:>14.6f}"
+                f"{1e6 * t_burst / 50:>12.1f}{1e6 * t_build / steps:>12.1f}"
             )
         # Growth factors across the 4x order sweep.
         growth_smw = timings[-1][1] / max(timings[0][1], 1e-12)

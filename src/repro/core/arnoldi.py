@@ -160,10 +160,11 @@ def build_arnoldi(
         # control floating-point leakage), then orthogonalize in-basis.
         # The removed components Q^H (OP v_k) are recorded so callers can
         # reconstruct full-space eigenvectors from deflated Ritz vectors.
+        # Q^H w is taken as (w^H Q)^H so Q is never copied by a conjugation.
         if locked.shape[1]:
-            f1 = locked.conj().T @ w
+            f1 = (w.conj() @ locked).conj()
             w = w - locked @ f1
-            f2 = locked.conj().T @ w
+            f2 = (w.conj() @ locked).conj()
             w = w - locked @ f2
             defl[:, k] = f1 + f2
         coeffs, norm, q = orthonormalize_against(basis[:, : k + 1], w)

@@ -10,12 +10,15 @@ that does not require ``Z`` itself to be invertible reads
 
     (K + U Z V)^{-1} = K^{-1} - K^{-1} U Z (I + V K^{-1} U Z)^{-1} V K^{-1}.
 
-The ``2p x 2p`` *core* ``I + (V K^{-1} U) Z`` is assembled once per shift
-(two structured Gramian products) and inverted; afterwards each
-application of ``(M - theta I)^{-1}`` costs one pair of O(n) structured
-solves, two O(n p) port projections, and one O(p^2) small matmul —
-linear in the number of macromodel states, which is the enabling property
-for the Krylov iteration of Sec. III.
+Everything that depends on the shift is built once per shift: the
+``2p x 2p`` *core* ``I + (V K^{-1} U) Z`` (two structured Gramian products,
+then inverted) and the factors of ``K^{-1}`` in the form
+``diag * x + off * x[swap]`` (see
+:meth:`~repro.macromodel.simo.SimoRealization.shifted_inverse_factors`).
+Afterwards each application of ``(M - theta I)^{-1}`` costs two fused
+elementwise passes over those factors, two O(n p) port projections, and
+one O(p^2) small matmul — linear in the number of macromodel states, which
+is the enabling property for the Krylov iteration of Sec. III.
 """
 
 from __future__ import annotations
@@ -60,7 +63,18 @@ class ShiftInvertOperator:
         self.hamiltonian = hamiltonian
         self.shift = complex(shift)
         simo = hamiltonian.simo
+        n = simo.order
         p = simo.num_ports
+
+        # Factors of K^-1 = blkdiag((A - theta I)^-1, (-A^T - theta I)^-1),
+        # stacked over the 2n states.  The bottom block uses
+        # (-A^T - theta I)^-1 = -(A^T + theta I)^-1.  Building them raises
+        # ZeroDivisionError when theta is a pole of A or of -A^T.
+        top_diag, top_off, swap = simo.shifted_inverse_factors(self.shift)
+        bot_diag, bot_off, _ = simo.shifted_inverse_factors(-self.shift, transpose=True)
+        self._k_diag = np.concatenate([top_diag, -bot_diag])
+        self._k_off = np.concatenate([top_off, -bot_off])
+        self._k_swap = np.concatenate([swap, swap + n])
 
         # Gramian blocks of V K^-1 U:
         #   upper: C (A - theta I)^-1 B              = gamma(theta)
@@ -99,13 +113,9 @@ class ShiftInvertOperator:
     # ------------------------------------------------------------------
     def _solve_k(self, x: np.ndarray) -> np.ndarray:
         """Apply ``K^{-1} = blkdiag((A - theta I)^{-1}, (-A^T - theta I)^{-1})``."""
-        simo = self.hamiltonian.simo
-        n = simo.order
-        theta = self.shift
-        top = simo.solve_shifted(theta, x[:n])
-        # (-A^T - theta I) y = x2  <=>  (A^T + theta I) y = -x2
-        bottom = -simo.solve_shifted(-theta, x[n:], transpose=True)
-        return np.concatenate([top, bottom])
+        # ``.T`` is a no-op on a vector and puts the state axis last on a
+        # block, so one expression broadcasts the factors over both.
+        return (self._k_diag * x.T + self._k_off * x[self._k_swap].T).T
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply ``(M - shift I)^{-1}`` to a vector ``(2n,)`` or block ``(2n, k)``.

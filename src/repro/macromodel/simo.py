@@ -14,7 +14,9 @@ Globally ``A = blkdiag{A_k}``, ``B = blkdiag{u_k}``, ``C = [C_1 ... C_p]``
 ``2n`` nonzeros and ``B`` has ``n``.  All kernels below exploit this:
 resolvent solves ``(A - theta I)^{-1} x`` cost O(n), transfer evaluations
 and the Gramian-like products needed by the Sherman-Morrison-Woodbury
-shift-invert cost O(n p).
+shift-invert cost O(n p).  The shift-invert builds the resolvent factors
+once per shift, so each of its applies is two fused elementwise passes
+plus the O(n p) port projections.
 
 Kernel complexity and batching
 ------------------------------
@@ -28,7 +30,12 @@ passes instead of per-point Python loops:
 kernel                                  cost        batched form
 ======================================  ==========  ==========================
 ``apply_a/apply_b/apply_bt/apply_c``    O(n k)      ``(n, k)`` blocks broadcast
-``solve_shifted``                       O(n k)      ``solve_shifted_many`` —
+``shifted_inverse_factors``             O(n)        once per shift: the
+                                                    ``(diag, off, swap)``
+                                                    factors of the inverse
+``solve_shifted``                       O(n k)      two fused elementwise
+                                                    passes over the factors;
+                                                    ``solve_shifted_many`` —
                                                     ``(K, n[, k])``, shared rhs
 ``gamma`` / ``transfer``                O(n p)      ``gamma_many`` /
                                                     ``transfer_many`` — one
@@ -42,7 +49,7 @@ kernel                                  cost        batched form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -236,6 +243,13 @@ class SimoRealization:
         self.pair_pos = np.asarray(pair_pos, dtype=np.intp)
         self.pair_alpha = np.asarray(pair_alpha, dtype=float)
         self.pair_beta = np.asarray(pair_beta, dtype=float)
+        # State permutation exchanging the two states of each complex pair
+        # (real-pole states map to themselves): the coupling pattern of the
+        # 2x2 blocks, shared by every shifted-inverse factorization.
+        swap = np.arange(n, dtype=np.intp)
+        swap[self.pair_pos] = self.pair_pos + 1
+        swap[self.pair_pos + 1] = self.pair_pos
+        self.pair_swap = swap
         self.b = b
         self.c = c
         self.col_of_state = col_of_state
@@ -325,40 +339,76 @@ class SimoRealization:
                 )
         return out
 
-    def solve_shifted(
-        self, shift: complex, rhs: np.ndarray, *, transpose: bool = False
-    ) -> np.ndarray:
-        """Solve ``(A - shift I) x = rhs`` (or with ``A^T``) in O(n).
+    def shifted_inverse_factors(
+        self, shift: complex, *, transpose: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(A - shift I)^{-1}`` (or with ``A^T``) in factored form.
 
-        ``rhs`` may be a vector ``(n,)`` or a block of right-hand sides
-        ``(n, k)``.
+        The inverse of the block-diagonal shifted state matrix is applied
+        as ``diag * x + off * x[swap]``: a real-pole state only scales
+        itself, and each complex-pair state mixes with its partner.  Built
+        once, the factors turn every later solve at the same shift into two
+        elementwise passes with no per-call denominators or pole checks.
+
+        Returns
+        -------
+        (diag, off, swap):
+            ``diag`` and ``off`` are length-``n`` arrays (complex for a
+            complex shift); ``swap`` is the length-``n`` permutation that
+            exchanges the two states of each complex pair and maps a
+            real-pole state to itself (``off`` is zero there).
 
         Raises
         ------
         ZeroDivisionError
             If ``shift`` coincides with a pole of the realization.
         """
-        rhs = np.asarray(rhs)
-        out = np.zeros(
-            rhs.shape, dtype=np.result_type(rhs.dtype, np.asarray(shift).dtype)
-        )
+        dtype = np.result_type(float, np.asarray(shift).dtype)
+        diag = np.zeros(self.order, dtype=dtype)
+        off = np.zeros(self.order, dtype=dtype)
         if self.real_pos.size:
-            out[self.real_pos] = la.solve_shifted_diagonal(
-                self.real_val, shift, rhs[self.real_pos]
-            )
+            denom = self.real_val - shift
+            # all() is the cheap exact-singularity test: |z| == 0 iff z == 0.
+            if not np.all(denom):
+                raise ZeroDivisionError(
+                    "shift coincides with a real pole; shifted block is singular"
+                )
+            diag[self.real_pos] = 1.0 / denom
         if self.pair_pos.size:
-            beta = -self.pair_beta if transpose else self.pair_beta
-            if rhs.ndim == 1:
-                stacked = np.stack([rhs[self.pair_pos], rhs[self.pair_pos + 1]], axis=1)
-                solved = la.solve_shifted_rot2(self.pair_alpha, beta, shift, stacked)
-                out[self.pair_pos] = solved[:, 0]
-                out[self.pair_pos + 1] = solved[:, 1]
-            else:
-                stacked = np.stack([rhs[self.pair_pos], rhs[self.pair_pos + 1]], axis=1)
-                solved = la.solve_shifted_rot2(self.pair_alpha, beta, shift, stacked)
-                out[self.pair_pos] = solved[:, 0, :]
-                out[self.pair_pos + 1] = solved[:, 1, :]
-        return out
+            # [[a, b], [-b, a]]^{-1} = [[a, -b], [b, a]] / (a^2 + b^2)
+            a = self.pair_alpha - shift
+            det = a * a + self.pair_beta * self.pair_beta
+            if not np.all(det):
+                raise ZeroDivisionError(
+                    "shift coincides with a complex pole; shifted block is singular"
+                )
+            b = (-self.pair_beta if transpose else self.pair_beta) / det
+            a = a / det
+            diag[self.pair_pos] = a
+            diag[self.pair_pos + 1] = a
+            off[self.pair_pos] = -b
+            off[self.pair_pos + 1] = b
+        return diag, off, self.pair_swap
+
+    def solve_shifted(
+        self, shift: complex, rhs: np.ndarray, *, transpose: bool = False
+    ) -> np.ndarray:
+        """Solve ``(A - shift I) x = rhs`` (or with ``A^T``) in O(n).
+
+        ``rhs`` may be a vector ``(n,)`` or a block of right-hand sides
+        ``(n, k)``.  Callers solving repeatedly at one shift should build
+        :meth:`shifted_inverse_factors` once and apply them directly.
+
+        Raises
+        ------
+        ZeroDivisionError
+            If ``shift`` coincides with a pole of the realization.
+        """
+        diag, off, swap = self.shifted_inverse_factors(shift, transpose=transpose)
+        rhs = np.asarray(rhs)
+        # ``.T`` is a no-op on a vector and puts the state axis last on a
+        # block, so one expression broadcasts the factors over both.
+        return (diag * rhs.T + off * rhs[swap].T).T
 
     def solve_shifted_many(
         self, shifts, rhs: np.ndarray, *, transpose: bool = False

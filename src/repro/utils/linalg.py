@@ -261,7 +261,9 @@ def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int
     Uses classical Gram-Schmidt with ``passes`` re-orthogonalization sweeps
     ("twice is enough", Kahan/Parlett) — each sweep is a pair of BLAS-2
     products, which is both faster and numerically tighter than one
-    element-at-a-time modified Gram-Schmidt pass in floating point.
+    element-at-a-time modified Gram-Schmidt pass in floating point.  The
+    basis is read in place (a strided column slice is fine) and never
+    copied.
 
     Parameters
     ----------
@@ -288,7 +290,9 @@ def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int
     for _ in range(max(1, passes)):
         if k == 0:
             break
-        proj = basis.conj().T @ w
+        # (w^H V)^H equals V^H w without materializing the conjugated
+        # basis, which would copy all k columns at every call.
+        proj = (w.conj() @ basis).conj()
         w -= basis @ proj
         coeffs += proj
     norm = float(np.linalg.norm(w))

@@ -17,6 +17,12 @@ def op(small_simo):
     return HamiltonianOperator(small_simo)
 
 
+def _immittance_operator():
+    model = make_pole_residue(seed=2)
+    model = model.with_d(model.d + 2.0 * np.eye(model.num_ports))
+    return HamiltonianOperator(pole_residue_to_simo(model), "immittance")
+
+
 class TestConstruction:
     def test_factory(self, op):
         si = op.shift_invert(1.5j)
@@ -31,6 +37,15 @@ class TestConstruction:
         pole = complex(op.simo.poles()[0])
         with pytest.raises(ZeroDivisionError):
             op.shift_invert(pole)
+
+    def test_shift_on_mirrored_pole_raises(self, op):
+        """A shift at -conj(p) makes the bottom block -A^T - theta I singular."""
+        simo = op.simo
+        pole = complex(simo.pair_alpha[0], simo.pair_beta[0])
+        mirrored = -pole.conjugate()
+        simo.solve_shifted(mirrored, np.ones(simo.order))  # top block is fine
+        with pytest.raises(ZeroDivisionError):
+            op.shift_invert(mirrored)
 
     def test_small_solve_counted(self, small_simo):
         work = WorkCounter()
@@ -77,10 +92,7 @@ class TestApply:
         )
 
     def test_immittance_inverse(self, rng):
-        model = make_pole_residue(seed=2)
-        model = model.with_d(model.d + 2.0 * np.eye(model.num_ports))
-        simo = pole_residue_to_simo(model)
-        op = HamiltonianOperator(simo, representation="immittance")
+        op = _immittance_operator()
         si = op.shift_invert(1.3j)
         m = op.dense()
         x = rng.standard_normal(op.dimension) + 0j
@@ -90,6 +102,31 @@ class TestApply:
 
     def test_repr(self, op):
         assert "ShiftInvertOperator" in repr(op.shift_invert(1j))
+
+
+class TestAgainstDenseSolve:
+    """Vector and block applies equal ``solve(M - theta I, X)``."""
+
+    @pytest.fixture(params=["scattering", "immittance"])
+    def op(self, request, small_simo):
+        if request.param == "scattering":
+            return HamiltonianOperator(small_simo)
+        return _immittance_operator()
+
+    @pytest.mark.parametrize("shift", [0.0j, 1.3j, 0.2 + 5.0j])
+    def test_vector_and_block(self, op, rng, shift):
+        si = op.shift_invert(shift)
+        shifted = op.dense() - si.shift * np.eye(op.dimension)
+        shape = (op.dimension, 4)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = np.linalg.solve(shifted, block)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(
+            si.matvec(block), expected, rtol=0, atol=1e-10 * scale
+        )
+        np.testing.assert_allclose(
+            si.matvec(block[:, 1]), expected[:, 1], rtol=0, atol=1e-10 * scale
+        )
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.macromodel.simo import SimoColumn, SimoRealization, segment_sum
+from repro.utils import linalg as la
 from tests.conftest import make_pole_residue
 
 
@@ -172,6 +173,51 @@ class TestAgainstDense:
         np.testing.assert_allclose(
             simo.gamma_transpose(shift), simo.gamma(shift).T, atol=1e-10
         )
+
+
+class TestShiftedInverseFactors:
+    """The factored inverse against the per-block reference kernels."""
+
+    @pytest.fixture
+    def simo(self):
+        return pole_residue_to_simo(make_pole_residue(seed=7))
+
+    def test_swap_exchanges_pair_states(self, simo):
+        _, off, swap = simo.shifted_inverse_factors(0.3 + 1.1j)
+        np.testing.assert_array_equal(swap[simo.real_pos], simo.real_pos)
+        np.testing.assert_array_equal(swap[simo.pair_pos], simo.pair_pos + 1)
+        np.testing.assert_array_equal(swap[simo.pair_pos + 1], simo.pair_pos)
+        np.testing.assert_array_equal(off[simo.real_pos], 0.0)
+        np.testing.assert_array_equal(swap[swap], np.arange(simo.order))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("rhs_shape", [(), (3,)])
+    def test_matches_reference_kernels(self, simo, rng, transpose, rhs_shape):
+        shift = -0.4 + 2.0j
+        shape = (simo.order,) + rhs_shape
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        diag, off, swap = simo.shifted_inverse_factors(shift, transpose=transpose)
+        col = (slice(None),) + (None,) * len(rhs_shape)
+        x = diag[col] * rhs + off[col] * rhs[swap]
+        solved = simo.solve_shifted(shift, rhs, transpose=transpose)
+        np.testing.assert_allclose(x, solved, rtol=0, atol=1e-14)
+
+        real = la.solve_shifted_diagonal(simo.real_val, shift, rhs[simo.real_pos])
+        np.testing.assert_allclose(x[simo.real_pos], real, rtol=0, atol=1e-14)
+        beta = -simo.pair_beta if transpose else simo.pair_beta
+        stacked = np.stack([rhs[simo.pair_pos], rhs[simo.pair_pos + 1]], axis=1)
+        pair = la.solve_shifted_rot2(simo.pair_alpha, beta, shift, stacked)
+        np.testing.assert_allclose(x[simo.pair_pos], pair[:, 0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            x[simo.pair_pos + 1], pair[:, 1], rtol=0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pole_shift_raises(self, simo, transpose):
+        pair_pole = complex(simo.pair_alpha[0], simo.pair_beta[0])
+        for pole in (simo.real_val[0], pair_pole, pair_pole.conjugate()):
+            with pytest.raises(ZeroDivisionError):
+                simo.shifted_inverse_factors(pole, transpose=transpose)
 
 
 class TestMetadata:

@@ -187,6 +187,21 @@ class TestOrthonormalizeAgainst:
         _, norm, q = la.orthonormalize_against(basis, np.zeros(4, complex))
         assert q is None
 
+    def test_strided_column_slice(self, rng):
+        """A column slice of a wider basis, as the Arnoldi loop passes it."""
+        n, d, k = 40, 12, 7
+        full = np.zeros((n, d), dtype=complex)
+        full[:, :k], _ = np.linalg.qr(
+            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        )
+        basis = full[:, :k]
+        assert not basis.flags.c_contiguous and not basis.flags.f_contiguous
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coeffs, norm, q = la.orthonormalize_against(basis, v)
+        np.testing.assert_allclose(coeffs, basis.conj().T @ v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis.conj().T @ q, 0.0, atol=1e-12)
+        np.testing.assert_allclose(basis @ coeffs + norm * q, v, atol=1e-12)
+
 
 class TestRelativeSpacing:
     def test_single_value(self):
