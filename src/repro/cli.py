@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             action=_TrackedStore,
             metavar="SECONDS",
-            help="idle queue poll interval (default: REPRO_QUEUE_POLL or 0.2)",
+            help="fallback poll for work from other processes"
+            " (default: REPRO_QUEUE_POLL or 0.2)",
         )
         p.add_argument(
             "--max-attempts",

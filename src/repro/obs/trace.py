@@ -229,10 +229,12 @@ class Span:
             {"point": point, "kind": kind}
         )
 
+    def elapsed(self) -> float:
+        """Seconds since the (possibly backdated) start, while open."""
+        return (time.perf_counter() - self._perf0) + self._backdated
+
     def finish(self, *, status: Optional[str] = None) -> None:
-        self.duration = (
-            time.perf_counter() - self._perf0
-        ) + self._backdated
+        self.duration = self.elapsed()
         if status is not None:
             self.status = status
 

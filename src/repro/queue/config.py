@@ -17,7 +17,9 @@ Recognized environment variables (all optional):
   stops heartbeating loses its job after this long;
 * ``REPRO_QUEUE_HEARTBEAT``     — heartbeat interval (must stay below
   the lease or a healthy worker would lose its own job);
-* ``REPRO_QUEUE_POLL``          — idle worker poll interval in seconds;
+* ``REPRO_QUEUE_POLL``          — fallback poll interval in seconds: how
+  late work written by *other* processes is seen (in-process changes
+  wake waiters at once);
 * ``REPRO_QUEUE_MAX_ATTEMPTS``  — claim attempts before a job is marked
   ``failed`` (bounds requeue loops from crashing workers);
 * ``REPRO_QUEUE_RATE``          — per-client job submissions per second
@@ -76,7 +78,11 @@ class QueueConfig:
         Interval between lease renewals of an executing worker; must be
         smaller than ``lease_seconds``.
     poll_seconds:
-        How often an idle worker re-checks the queue for work.
+        Fallback bound on how late an idle worker sees work enqueued by
+        *another* process (an external front-end or admin tool).
+        Embedded workers and ``/events`` long-polls wake as soon as a
+        job changes state in their own process; this poll only covers
+        writers they cannot hear.
     max_attempts:
         Claim attempts before a job is marked ``failed`` (a job leased
         by a crashing worker is requeued at most this many times).

@@ -23,6 +23,11 @@ Design
 * **Versioned rows**: every state transition bumps ``version``;
   :meth:`JobQueue.wait_for_version` turns that into the long-poll
   primitive behind ``GET /v1/jobs/<id>/events``.
+* **In-process wake-ups**: every :class:`JobQueue` on one file in one
+  process shares a :class:`ChangeSignal`, notified on each state
+  transition, so the long-poll and idle embedded workers wake at once
+  instead of on their next poll.  Writers in *other* processes are
+  still seen within the poll interval, which is only the fallback.
 
 States: ``queued`` → ``running`` → one of the terminal states ``done``
 (pipeline completed), ``error`` (pipeline raised), ``timeout`` (per-job
@@ -38,6 +43,8 @@ import socket
 import sqlite3
 import threading
 import time
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -52,6 +59,7 @@ from repro.utils.retry import RetryPolicy, retry_call
 __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
+    "ChangeSignal",
     "JobRow",
     "JobQueue",
 ]
@@ -140,6 +148,75 @@ WHERE id = (
 ) AND state = 'queued'
 RETURNING *
 """
+
+#: Span IDs are upsert keys: re-recording a span overwrites it.
+_UPSERT_SPAN = """
+INSERT OR REPLACE INTO traces
+    (trace_id, span_id, parent_id, job_id, name, start,
+     duration, status, attributes)
+VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+"""
+
+
+def _span_rows(spans: List[dict], job_id: Optional[str]) -> List[tuple]:
+    """``traces`` table rows of finished span dicts."""
+    return [
+        (
+            str(span["trace_id"]),
+            str(span["span_id"]),
+            span.get("parent_id"),
+            job_id,
+            str(span["name"]),
+            float(span["start"]),
+            float(span["duration"]),
+            str(span.get("status", "ok")),
+            json.dumps(span.get("attributes") or {}, sort_keys=True),
+        )
+        for span in spans
+    ]
+
+
+class ChangeSignal:
+    """Process-wide notice that a queue file's jobs changed state.
+
+    A condition variable plus a generation counter.  Writers call
+    :meth:`notify` after each committed transition.  A waiter reads
+    :attr:`generation` *before* looking at the database and passes it
+    to :meth:`wait`, so a change landing between the look and the wait
+    is never missed.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self.generation = 0
+
+    def notify(self) -> None:
+        """Bump the generation and wake every waiter."""
+        with self._condition:
+            self.generation += 1
+            self._condition.notify_all()
+
+    def wait(self, seen: int, timeout: float) -> None:
+        """Block until the generation moves past ``seen`` or ``timeout``
+        elapses."""
+        with self._condition:
+            self._condition.wait_for(
+                lambda: self.generation != seen, max(0.0, timeout)
+            )
+
+
+#: Held weakly: a signal lives as long as some JobQueue on its file.
+_SIGNALS: "weakref.WeakValueDictionary[str, ChangeSignal]" = (
+    weakref.WeakValueDictionary()
+)
+_SIGNALS_LOCK = threading.Lock()
+
+
+def _signal_for(path: Path) -> ChangeSignal:
+    """The one :class:`ChangeSignal` of ``path`` in this process."""
+    key = os.path.realpath(path)
+    with _SIGNALS_LOCK:
+        return _SIGNALS.setdefault(key, ChangeSignal())
 
 
 @dataclass(frozen=True)
@@ -250,6 +327,14 @@ class JobQueue:
         Database file (parent directories are created).
     max_attempts:
         Default claim-attempt bound for newly enqueued jobs.
+
+    Attributes
+    ----------
+    changes:
+        The :class:`ChangeSignal` shared by every instance on ``path``
+        in this process; notified by ``enqueue``, a successful
+        ``claim``, ``ack``, ``release``, ``retry`` and a lease reclaim
+        that touched rows.
     """
 
     def __init__(
@@ -291,6 +376,7 @@ class JobQueue:
             self._conn.execute("ALTER TABLE jobs ADD COLUMN trace_id TEXT")
         self._trace_ring = _trace_ring_from_env()
         self._returning = sqlite3.sqlite_version_info >= (3, 35, 0)
+        self.changes = _signal_for(self.path)
 
     def close(self) -> None:
         """Close the underlying connection."""
@@ -339,6 +425,20 @@ class JobQueue:
         # only on success so error storms do not skew the quantiles.
         _obs_metrics().observe(point, time.perf_counter() - started)
         return result
+
+    @contextmanager
+    def _transaction(self):
+        """One immediate (write-locked) transaction; hold ``_lock``."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            try:
+                self._conn.execute("ROLLBACK")
+            except sqlite3.Error:
+                pass
+            raise
+        self._conn.execute("COMMIT")
 
     def probe(self) -> None:
         """One trivial read proving the connection works (health checks).
@@ -408,6 +508,7 @@ class JobQueue:
                 )
 
         self._retrying("queue.enqueue", _insert)
+        self.changes.notify()
         row = self.get(job_id)
         assert row is not None
         return row
@@ -451,6 +552,7 @@ class JobQueue:
                 (now,),
             ).rowcount
         if failed or requeued:
+            self.changes.notify()
             _LOG.debug(
                 "reclaimed %d expired lease(s) (%d failed terminally)",
                 failed + requeued,
@@ -485,14 +587,12 @@ class JobQueue:
                     return _decode(row) if row is not None else None
                 # Pre-3.35 SQLite: the same guarded flip inside one
                 # immediate (write-locked) transaction.
-                try:
-                    self._conn.execute("BEGIN IMMEDIATE")
+                with self._transaction():
                     picked = self._conn.execute(
                         "SELECT id FROM jobs WHERE state = 'queued'"
                         " ORDER BY submitted, id LIMIT 1"
                     ).fetchone()
                     if picked is None:
-                        self._conn.execute("COMMIT")
                         return None
                     self._conn.execute(
                         """
@@ -505,17 +605,11 @@ class JobQueue:
                         """,
                         dict(params, id=picked["id"]),
                     )
-                    self._conn.execute("COMMIT")
-                except sqlite3.Error:
-                    try:
-                        self._conn.execute("ROLLBACK")
-                    except sqlite3.Error:
-                        pass
-                    raise
             return self.get(picked["id"])
 
         row = self._retrying("queue.claim", _claim)
         if row is not None:
+            self.changes.notify()
             _obs_metrics().count("queue.jobs_claimed")
         return row
 
@@ -570,22 +664,26 @@ class JobQueue:
         result: Optional[dict] = None,
         error: Optional[str] = None,
         cached: bool = False,
+        spans: Optional[List[dict]] = None,
     ) -> bool:
         """Record a terminal outcome — guarded by ownership.
 
         Returns ``False`` when this worker no longer owned the job (its
         lease expired and the job was requeued or re-acked elsewhere);
         the caller must discard its result, preserving exactly-once
-        completion.
+        completion.  ``spans`` (the job's trace so far) are stored in
+        the same transaction, and only when the ack wins, so a reader
+        that sees the terminal state also sees the trace.
         """
         if state not in TERMINAL_STATES:
             raise ValueError(
                 f"ack state must be one of {TERMINAL_STATES}, got {state!r}"
             )
+        span_rows = _span_rows(spans or [], job_id)
 
         def _ack() -> bool:
             now = time.time()
-            with self._lock:
+            with self._lock, self._transaction():
                 owned = self._conn.execute(
                     """
                     UPDATE jobs
@@ -606,10 +704,13 @@ class JobQueue:
                         worker_id,
                     ),
                 ).rowcount
+                if owned and span_rows:
+                    self._conn.executemany(_UPSERT_SPAN, span_rows)
             return bool(owned)
 
         acked = self._retrying("queue.ack", _ack)
         if acked:
+            self.changes.notify()
             _obs_metrics().count("queue.jobs_acked")
         return acked
 
@@ -629,6 +730,8 @@ class JobQueue:
                 """,
                 (job_id, worker_id),
             ).rowcount
+        if released:
+            self.changes.notify()
         return bool(released)
 
     # -- admin --------------------------------------------------------------
@@ -646,6 +749,8 @@ class JobQueue:
                 """,
                 (job_id,),
             ).rowcount
+        if touched:
+            self.changes.notify()
         return bool(touched)
 
     def purge(self, state: str) -> int:
@@ -682,32 +787,11 @@ class JobQueue:
         upsert keys — a retried attempt re-recording its synthesized
         ``job``/``queue.wait`` spans overwrites rather than duplicates.
         """
-        rows = [
-            (
-                str(span["trace_id"]),
-                str(span["span_id"]),
-                span.get("parent_id"),
-                job_id,
-                str(span["name"]),
-                float(span["start"]),
-                float(span["duration"]),
-                str(span.get("status", "ok")),
-                json.dumps(span.get("attributes") or {}, sort_keys=True),
-            )
-            for span in spans
-        ]
+        rows = _span_rows(spans, job_id)
         if not rows:
             return 0
         with self._lock:
-            self._conn.executemany(
-                """
-                INSERT OR REPLACE INTO traces
-                    (trace_id, span_id, parent_id, job_id, name, start,
-                     duration, status, attributes)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                rows,
-            )
+            self._conn.executemany(_UPSERT_SPAN, rows)
             self._conn.execute(
                 """
                 DELETE FROM traces WHERE trace_id IN (
@@ -827,17 +911,23 @@ class JobQueue:
         Returns the fresh row immediately on any recorded transition, a
         terminal row immediately (nothing further will change), or the
         current row at timeout.  ``None`` means the id is unknown.
+
+        A transition made through any :class:`JobQueue` of this process
+        wakes the wait at once (:attr:`changes`); ``poll`` only bounds
+        how late a transition written by *another* process is seen.
         """
-        deadline = time.time() + max(0.0, float(timeout))
+        deadline = time.monotonic() + max(0.0, float(timeout))
         while True:
+            seen = self.changes.generation
             row = self.get(job_id)
             if row is None:
                 return None
             if row.version > since or row.terminal:
                 return row
-            if time.time() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
                 return row
-            time.sleep(poll)
+            self.changes.wait(seen, min(poll, remaining))
 
     # -- worker registry ----------------------------------------------------
 

@@ -32,7 +32,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.batch.runner import BATCH_BACKENDS, BatchRunner
 from repro.faults import counters as _fault_counters
@@ -124,9 +124,9 @@ class QueueWorker:
         self._stores: Dict[Optional[str], ResultStore] = {}
         # Tracing state of the job currently executing (one job at a
         # time per instance): the sink finished spans accumulate in and
-        # the attempt span's context (None while tracing is off).
+        # the open attempt span (None while tracing is off).
         self._trace_sink = None
-        self._attempt_context: Optional[_trace.TraceContext] = None
+        self._attempt_span: Optional[_trace.Span] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -134,9 +134,11 @@ class QueueWorker:
         """Ask the worker to drain: finish the current job, then exit.
 
         Safe from any thread and from signal handlers — this is what
-        ``repro worker`` wires SIGTERM/SIGINT to.
+        ``repro worker`` wires SIGTERM/SIGINT to.  An idle worker wakes
+        at once rather than at its next poll.
         """
         self._stop.set()
+        self.queue.changes.notify()
 
     @property
     def stopping(self) -> bool:
@@ -149,6 +151,11 @@ class QueueWorker:
         The graceful-drain contract: after :meth:`request_stop` (or
         SIGTERM via the CLI) the job currently executing is finished and
         acked — never abandoned mid-lease — and the loop exits cleanly.
+
+        An idle worker sleeps on the queue's change signal: a job
+        enqueued through any :class:`JobQueue` of this process wakes it
+        at once, and ``poll_seconds`` only bounds how late work enqueued
+        by another process is seen.
         """
         self.queue.register_worker(self.worker_id)
         _LOG.info(
@@ -159,7 +166,12 @@ class QueueWorker:
         )
         idle_since = time.time()
         try:
-            while not self._stop.is_set():
+            while True:
+                # Read before the stop check and the claim, so a stop or
+                # an enqueue landing in between ends the idle wait below.
+                seen = self.queue.changes.generation
+                if self._stop.is_set():
+                    break
                 if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
                     break
                 claim_wall = time.time()
@@ -187,7 +199,9 @@ class QueueWorker:
                     ):
                         break
                     self.queue.worker_update(self.worker_id, state="idle")
-                    self._stop.wait(self.queue_config.poll_seconds)
+                    self.queue.changes.wait(
+                        seen, self.queue_config.poll_seconds
+                    )
                     continue
                 with _obs_metrics().timer("worker.job"):
                     self._execute_traced(
@@ -223,9 +237,12 @@ class QueueWorker:
         crashed worker — opens its own ``worker.attempt`` span under the
         shared trace, so the per-job timeline survives failures.  The
         attempt span is backdated to the claim so the measured
-        ``queue.claim`` child nests inside it.  Finished spans are
-        persisted best-effort after the attempt: tracing must never
-        fail a job.
+        ``queue.claim`` child nests inside it.  The trace as it stands
+        is stored with the ack (:meth:`_finish`), so a job never reads
+        as terminal before its trace does; the finished spans are then
+        upserted best-effort after the attempt (final durations, the
+        ack span, and the whole attempt of a lost lease).  Tracing must
+        never fail a job.
         """
         trace_id = row.trace_id or _trace.new_trace_id()
         context = _trace.TraceContext(
@@ -241,15 +258,8 @@ class QueueWorker:
                     worker=self.worker_id,
                     attempt=row.attempts,
                 ) as attempt:
-                    self._attempt_context = (
-                        _trace.TraceContext(
-                            trace_id=trace_id,
-                            span_id=attempt.context.span_id,
-                            job_id=row.id,
-                        )
-                        if attempt.context is not None
-                        else None
-                    )
+                    if attempt.context is not None:
+                        self._attempt_span = attempt
                     _trace.record_span(
                         "queue.claim",
                         start=claim_wall,
@@ -257,7 +267,7 @@ class QueueWorker:
                     )
                     self._execute(row)
         finally:
-            self._attempt_context = None
+            self._attempt_span = None
             self._trace_sink = None
             if sink:
                 try:
@@ -338,6 +348,7 @@ class QueueWorker:
         fired_before = {
             point: c["fired"] for point, c in _fault_counters().items()
         }
+        attempt_span = self._attempt_span
         try:
             _inject("worker.run")
             runner = BatchRunner(
@@ -345,8 +356,12 @@ class QueueWorker:
                 timeout=self.timeout,
                 backend=self.backend,
                 trace=(
-                    self._attempt_context.to_dict()
-                    if self._attempt_context is not None
+                    _trace.TraceContext(
+                        trace_id=attempt_span.trace_id,
+                        span_id=attempt_span.span_id,
+                        job_id=row.id,
+                    ).to_dict()
+                    if attempt_span is not None
                     else None
                 ),
                 **parsed.runner_kwargs(),
@@ -427,9 +442,8 @@ class QueueWorker:
                 result=result,
                 error=error,
                 cached=cached,
+                spans=self._trace_at_ack(row, state=state, cached=cached),
             )
-        if acked:
-            self._record_outcome_spans(row, state=state, cached=cached)
         if not acked:
             _LOG.warning(
                 "worker %s could not ack job %s (lease reclaimed)",
@@ -437,6 +451,11 @@ class QueueWorker:
                 row.id,
             )
             return
+        if self._trace_sink is not None:
+            # Re-synthesized so the persisted root also covers the ack.
+            self._trace_sink.extend(
+                self._outcome_spans(row, state=state, cached=cached)
+            )
         self.jobs_done += 1
         _obs_metrics().count(f"worker.jobs.{state}")
         if cached:
@@ -452,9 +471,27 @@ class QueueWorker:
             ", cached" if cached else "",
         )
 
-    def _record_outcome_spans(
+    def _trace_at_ack(
         self, row: JobRow, *, state: str, cached: bool
-    ) -> None:
+    ) -> Optional[List[dict]]:
+        """The job's trace as it stands at the ack (``None`` untraced).
+
+        The attempt's finished spans, the still-open attempt span up to
+        now, and the outcome spans — stored in the ack's transaction so
+        a reader that sees the terminal state finds one connected tree.
+        """
+        sink, attempt = self._trace_sink, self._attempt_span
+        if sink is None or attempt is None:
+            return None
+        return [
+            *sink,
+            dict(attempt.to_dict(), duration=attempt.elapsed()),
+            *self._outcome_spans(row, state=state, cached=cached),
+        ]
+
+    def _outcome_spans(
+        self, row: JobRow, *, state: str, cached: bool
+    ) -> List[dict]:
         """Synthesize the timeline spans only the acking worker can see.
 
         The ``job`` root (span ID = job ID, so every attempt's spans
@@ -463,12 +500,12 @@ class QueueWorker:
         the persisted row timestamps, keeping the tree connected even
         though no single process observed the whole lifetime.
         """
-        sink = self._trace_sink
-        if sink is None or self._attempt_context is None:
-            return
-        trace_id = self._attempt_context.trace_id
+        if self._attempt_span is None:
+            return []
+        trace_id = self._attempt_span.trace_id
         finished = time.time()
-        sink.append(
+        started = row.started if row.started is not None else finished
+        return [
             _trace.synthetic_span(
                 trace_id=trace_id,
                 span_id=row.id,
@@ -484,10 +521,7 @@ class QueueWorker:
                     "cached": cached,
                     "attempts": row.attempts,
                 },
-            )
-        )
-        started = row.started if row.started is not None else finished
-        sink.append(
+            ),
             _trace.synthetic_span(
                 trace_id=trace_id,
                 span_id=f"{row.id}-wait",
@@ -495,8 +529,8 @@ class QueueWorker:
                 name="queue.wait",
                 start=row.submitted,
                 duration=max(0.0, started - row.submitted),
-            )
-        )
+            ),
+        ]
 
     def _heartbeat_loop(
         self, job_id: str, stop: threading.Event, lost: threading.Event

@@ -315,7 +315,10 @@ class JobManager:
 
         Returns the fresh row as soon as its version exceeds ``since``
         (or immediately when the job is already terminal), the unchanged
-        row at timeout, or ``None`` for an unknown id.
+        row at timeout, or ``None`` for an unknown id.  A transition
+        made in this process (embedded workers, submits) wakes the wait
+        at once; one made by an external ``repro worker`` is seen within
+        ``min(0.1, poll_seconds)``.
         """
         return self.queue.wait_for_version(
             job_id,

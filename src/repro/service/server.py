@@ -83,6 +83,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the owning :class:`ReproServer`'s manager."""
 
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on every keep-alive
+    # response.  StreamRequestHandler sets TCP_NODELAY when this is set.
+    disable_nagle_algorithm = True
 
     @property
     def manager(self) -> JobManager:

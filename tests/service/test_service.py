@@ -1,5 +1,6 @@
 """HTTP service round trips: submit, poll, fetch, cached resubmission."""
 
+import http.client
 import json
 import time
 import urllib.error
@@ -75,6 +76,34 @@ def _finish(manager, record, timeout=120.0):
             return row
         time.sleep(0.02)
     raise AssertionError(f"job {record.id} did not finish within {timeout}s")
+
+
+class TestKeepAliveLatency:
+    def test_sequential_requests_do_not_wait_for_delayed_acks(self, server):
+        """Headers and body leave in two sends; with Nagle on, every
+        keep-alive response would stall ~40 ms on the client's delayed
+        ACK (~1.1 s for these 25 requests)."""
+        status, first = _post(server, "/v1/jobs", SPEC)
+        assert status == 202
+        assert _wait(server, first["id"])["status"] == "done"
+        body = json.dumps(SPEC)
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            for _ in range(5):
+                conn.request("POST", "/v1/jobs", body=body, headers=headers)
+                response = conn.getresponse()
+                assert json.loads(response.read())["cached"] is True
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.5, f"25 keep-alive requests took {elapsed:.3f} s"
 
 
 class TestEndpoints:

@@ -16,6 +16,7 @@ import urllib.request
 
 from repro.cli import main
 from repro.core.config import RunConfig
+from repro.queue import TERMINAL_STATES
 from repro.service import ReproServer
 
 SPEC = {"kind": "synth", "order": 6, "ports": 2, "seed": 3, "task": "check"}
@@ -61,7 +62,7 @@ def _wait_done(server, job_id, deadline=120.0):
     limit = time.time() + deadline
     while True:
         _, record = _get(server, f"/v1/jobs/{job_id}")
-        if record["status"] in ("done", "error", "timeout", "failed"):
+        if record["status"] in TERMINAL_STATES:
             return record
         assert time.time() < limit, f"job stuck: {record}"
         time.sleep(0.05)
@@ -119,6 +120,31 @@ class TestServiceTraceEndToEnd:
                     assert (
                         child["start"] + child["duration"] <= end + SLACK
                     )
+        finally:
+            server.stop()
+
+    def test_trace_is_complete_when_the_terminal_event_arrives(
+        self, tmp_path
+    ):
+        """The worker stores the trace with the ack, so a client that
+        reads it the moment ``/events`` reports the terminal state sees
+        the finished tree, never a partial one."""
+        server = _server(tmp_path)
+        try:
+            for seed in range(10):
+                _, record = _post(server, dict(SPEC, seed=100 + seed))
+                while record["status"] not in TERMINAL_STATES:
+                    _, record = _get(
+                        server,
+                        f"/v1/jobs/{record['id']}/events"
+                        f"?since={record['version']}&timeout=30",
+                    )
+                assert record["status"] == "done", record
+                _, payload = _get(server, f"/v1/jobs/{record['id']}/trace")
+                (root,) = payload["tree"]
+                assert root["name"] == "job"
+                children = [child["name"] for child in root["children"]]
+                assert children.count("worker.attempt") == 1, children
         finally:
             server.stop()
 
