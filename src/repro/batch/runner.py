@@ -38,6 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait as _wait_ready
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.batch.jobs import BatchJob, JobSource, expand_jobs
@@ -61,9 +62,6 @@ _LOG = get_logger("batch")
 
 #: Execution backends the runner supports.
 BATCH_BACKENDS = ("process", "thread", "serial")
-
-#: Seconds between liveness polls of in-flight worker processes.
-_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -620,7 +618,16 @@ class BatchRunner:
                 launch(slot, job)
             reap()
             if active:
-                time.sleep(_POLL_INTERVAL)
+                # Block until a worker sends its result, closes its pipe or
+                # exits, or the nearest deadline passes, then reap at once.
+                deadlines = [entry[4] for entry in active if entry[4] is not None]
+                _wait_ready(
+                    [entry[3] for entry in active]
+                    + [entry[2].sentinel for entry in active],
+                    max(0.0, min(deadlines) - time.perf_counter())
+                    if deadlines
+                    else None,
+                )
         return [r for r in results if r is not None]
 
     @staticmethod

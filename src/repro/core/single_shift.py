@@ -164,6 +164,7 @@ class SingleShiftSolver:
         actual_theta = op.shift  # may include a tiny nudge
         dim = self.hamiltonian.dimension
         krylov_dim = min(opts.krylov_dim, dim)
+        screened = max(2 * opts.num_wanted, 8)
 
         # Per-shift work accounting (for the multicore makespan projection):
         # wrap the operators so applications by *this* shift are counted
@@ -206,16 +207,18 @@ class SingleShiftSolver:
                 # Start vector collapsed into the locked space — the
                 # complement is (numerically) exhausted.
                 break
-            pairs = ritz_pairs(fact, sort_by="magnitude")
+            # Only the leading pairs are screened below (|mu| large <=> close
+            # to the shift), so only they need Ritz vectors; the first three
+            # also feed the empty-disk estimate of _certify_radius.
+            pairs = ritz_pairs(fact, sort_by="magnitude", max_pairs=screened)
             # Small projection Q^H OP Q for the locked-subspace correction.
             qhwq = locked_vecs.conj().T @ locked_images
 
             new_found = 0
             guard_distance = np.inf
             accepted: List[Tuple[complex, np.ndarray]] = []
-            # Screen only the leading pairs: |mu| large <=> close to shift.
             candidates: List[np.ndarray] = []
-            for pair in pairs[: max(2 * opts.num_wanted, 8)]:
+            for pair in pairs:
                 mu = pair.value
                 if abs(mu) == 0.0:
                     continue

@@ -6,14 +6,19 @@ it exploits the factored structure
 
 .. math::
 
-    M = \\begin{bmatrix} A & \\\\ & -A^T \\end{bmatrix}
-      + \\begin{bmatrix} B & \\\\ & C^T \\end{bmatrix} Z
-        \\begin{bmatrix} C & \\\\ & B^T \\end{bmatrix}
+    M = K_0 + U Z V, \\quad
+    K_0 = \\begin{bmatrix} A & \\\\ & -A^T \\end{bmatrix}, \\quad
+    U = \\begin{bmatrix} B & \\\\ & C^T \\end{bmatrix}, \\quad
+    V = \\begin{bmatrix} C & \\\\ & B^T \\end{bmatrix}
 
 where ``Z`` is a small ``2p x 2p`` coupling matrix depending only on ``D``
 (scattering: ``Z = [[-R^-1 D^T, -R^-1], [S^-1, D R^-1]]``; immittance:
-``Z = [[-R0^-1, -R0^-1], [R0^-1, R0^-1]]``).  With the SIMO kernels each
-application costs O(n p).
+``Z = [[-R0^-1, -R0^-1], [R0^-1, R0^-1]]``).  ``K_0`` is applied in the
+factored form ``diag * x + off * x[swap]`` of
+:meth:`~repro.macromodel.simo.SimoRealization.state_factors`, and the
+products ``U Z`` (``2n x 2p``) and ``V`` (``2p x 2n``) are built densely
+once per operator, so each application is two elementwise passes plus two
+O(n p) GEMVs.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.hamiltonian.dense import (
     dense_hamiltonian,
 )
 from repro.macromodel.simo import SimoRealization
+from repro.utils.linalg import blkdiag, real_matmul
 from repro.utils.timing import WorkCounter
 from repro.utils.validation import ensure_choice
 
@@ -91,8 +97,6 @@ class HamiltonianOperator:
             s = d @ d.T - eye
             r_inv = np.linalg.inv(r)
             s_inv = np.linalg.inv(s)
-            self._r_inv = r_inv
-            self._s_inv = s_inv
             self._z = np.block(
                 [[-r_inv @ d.T, -r_inv], [s_inv, d @ r_inv]]
             )
@@ -106,8 +110,20 @@ class HamiltonianOperator:
                 )
             self.asymptotic_margin = float(eigvals.min()) if eigvals.size else 1.0
             r0_inv = np.linalg.inv(r0)
-            self._r0_inv = r0_inv
             self._z = np.block([[-r0_inv, -r0_inv], [r0_inv, r0_inv]])
+
+        # M = K0 + U Z V with every factor built once.  K0 = blkdiag(A, -A^T)
+        # in the form diag * x + off * x[swap]; -A^T keeps A's off-diagonal
+        # factor because the transpose flips its sign.
+        n = simo.order
+        a_diag, a_off, swap = simo.state_factors()
+        self._k0_diag = np.concatenate([a_diag, -a_diag])
+        self._k0_off = np.concatenate([a_off, a_off])
+        self._k0_swap = np.concatenate([swap, swap + n])
+        b = simo.dense_b()
+        self._uz = blkdiag([b, simo.c.T]) @ self._z
+        self._v = blkdiag([simo.c, b.T])
+        self._v.flags.writeable = False
 
     # ------------------------------------------------------------------
     @property
@@ -130,14 +146,21 @@ class HamiltonianOperator:
         """The ``2p x 2p`` coupling matrix Z of the low-rank split (copy)."""
         return self._z.copy()
 
+    @property
+    def port_projection(self) -> np.ndarray:
+        """The dense ``2p x 2n`` factor ``V = blkdiag(C, B^T)`` (read-only, shared)."""
+        return self._v
+
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply ``M`` to a vector ``(2n,)`` or a block ``(2n, k)`` in O(n p k).
 
-        The structured SIMO kernels broadcast over trailing columns, so a
-        ``k``-column block costs one pass of BLAS-level operations instead
-        of ``k`` Python-level applications; blocked applies are counted as
-        ``k`` work units.
+        ``M x = K0 x + (U Z)(V x)``: two elementwise passes over the
+        factors of ``K0 = blkdiag(A, -A^T)`` and two GEMVs (GEMMs for a
+        block) with the cached ``U Z`` and ``V``.  The same expression serves
+        both representations and broadcasts over trailing columns, so a
+        ``k``-column block costs one pass of BLAS-level operations; it
+        counts as ``k`` work units.  A real input gives a real output.
         """
         x = np.asarray(x)
         n = self.order
@@ -146,28 +169,13 @@ class HamiltonianOperator:
                 f"expected vector of length {2 * n} or block (2n, k),"
                 f" got shape {x.shape}"
             )
-        simo = self.simo
-        x1, x2 = x[:n], x[n:]
-        cx = simo.apply_c(x1)
-        btx = simo.apply_bt(x2)
-
-        if self.representation == "scattering":
-            d = simo.d
-            r_inv_btx = self._r_inv @ btx
-            y1 = simo.apply_a(x1) - simo.apply_b(
-                self._r_inv @ (d.T @ cx) + r_inv_btx
-            )
-            y2 = simo.apply_ct(self._s_inv @ cx + d @ r_inv_btx) - simo.apply_a(
-                x2, transpose=True
-            )
-        else:
-            t = self._r0_inv @ (cx + btx)
-            y1 = simo.apply_a(x1) - simo.apply_b(t)
-            y2 = simo.apply_ct(t) - simo.apply_a(x2, transpose=True)
-
+        # ``.T`` is a no-op on a vector and puts the state axis last on a
+        # block, so one expression broadcasts the factors over both.
+        y = (self._k0_diag * x.T + self._k0_off * x[self._k0_swap].T).T
+        y += real_matmul(self._uz, real_matmul(self._v, x))
         if self.work is not None:
             self.work.add(operator_applies=1 if x.ndim == 1 else x.shape[1])
-        return np.concatenate([y1, y2])
+        return y
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

@@ -8,17 +8,32 @@ that does not require ``Z`` itself to be invertible reads
 
 .. math::
 
-    (K + U Z V)^{-1} = K^{-1} - K^{-1} U Z (I + V K^{-1} U Z)^{-1} V K^{-1}.
+    (K + U Z V)^{-1} = K^{-1} - K^{-1} U \\, Z_c \\, V K^{-1},
+    \\qquad Z_c = Z (I + V K^{-1} U Z)^{-1}.
 
-Everything that depends on the shift is built once per shift: the
-``2p x 2p`` *core* ``I + (V K^{-1} U) Z`` (two structured Gramian products,
-then inverted) and the factors of ``K^{-1}`` in the form
-``diag * x + off * x[swap]`` (see
-:meth:`~repro.macromodel.simo.SimoRealization.shifted_inverse_factors`).
-Afterwards each application of ``(M - theta I)^{-1}`` costs two fused
-elementwise passes over those factors, two O(n p) port projections, and
-one O(p^2) small matmul — linear in the number of macromodel states, which
-is the enabling property for the Krylov iteration of Sec. III.
+Everything that depends on the shift is built once per shift:
+
+* the factors of ``K^{-1}`` in the form ``diag * x + off * x[swap]`` (see
+  :meth:`~repro.macromodel.simo.SimoRealization.shifted_inverse_factors`);
+* ``G = K^{-1} U = blkdiag((A - theta I)^{-1} B, (-A^T - theta I)^{-1} C^T)``
+  in that block form: ``B`` has one nonzero per state, so the top block is
+  a length-``n`` vector read through the column each state belongs to, and
+  only the bottom ``n x p`` block is dense;
+* the ``2p x 2p`` core inverse ``Z_c``, from two structured Gramian
+  products (``V K^{-1} U`` is block-diagonal with the blocks
+  ``gamma(theta)`` and ``-gamma(-theta)^T``).
+
+An application of ``(M - theta I)^{-1}`` is then
+``w = K^{-1} x`` (two elementwise passes) and ``t = Z_c (V w)`` (two
+GEMVs), followed by ``w - G t``: one elementwise pass for the top block
+and one ``n x p`` GEMV for the bottom one (GEMMs for a ``(2n, k)`` block).
+The cost stays O(n p) per vector — linear in the number of macromodel
+states, which is the enabling property for the Krylov iteration of
+Sec. III.  Storing ``G`` by blocks does a quarter of the multiply-adds of a
+dense ``2n x 2p`` ``G``, and keeps that GEMV small enough to run on one
+BLAS thread at moderate orders.  ``Z_c`` is deliberately not folded into
+``G`` or ``V``: that would make the per-shift setup O(n p^2) instead of
+O(n p).
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hamiltonian.operator import HamiltonianOperator
+from repro.utils.linalg import real_matmul
 from repro.utils.timing import WorkCounter
 
 __all__ = ["ShiftInvertOperator"]
@@ -39,8 +55,8 @@ class ShiftInvertOperator:
     Parameters
     ----------
     hamiltonian:
-        The matrix-free Hamiltonian operator (carries the realization and
-        the coupling matrix Z).
+        The matrix-free Hamiltonian operator (carries the realization, the
+        coupling matrix Z and the port projection V).
     shift:
         Complex shift ``theta``.  Must not coincide with a pole of the
         realization (that would make the block-diagonal part K singular) or
@@ -75,6 +91,15 @@ class ShiftInvertOperator:
         self._k_diag = np.concatenate([top_diag, -bot_diag])
         self._k_off = np.concatenate([top_off, -bot_off])
         self._k_swap = np.concatenate([swap, swap + n])
+        # G = K^-1 U by blocks of U = blkdiag(B, C^T).  B has one nonzero
+        # per state, in the column the state belongs to, so
+        # (A - theta I)^-1 B is the vector (A - theta I)^-1 b read through
+        # col_of_state; only (-A^T - theta I)^-1 C^T is a dense block.
+        self._v = hamiltonian.port_projection
+        self._col_of_state = simo.col_of_state
+        self._g_top = top_diag * simo.b + top_off * simo.b[swap]
+        ct = simo.c.T
+        self._g_bottom = self._k_diag[n:, None] * ct + self._k_off[n:, None] * ct[swap]
 
         # Gramian blocks of V K^-1 U:
         #   upper: C (A - theta I)^-1 B              = gamma(theta)
@@ -111,18 +136,13 @@ class ShiftInvertOperator:
         return self.hamiltonian.work
 
     # ------------------------------------------------------------------
-    def _solve_k(self, x: np.ndarray) -> np.ndarray:
-        """Apply ``K^{-1} = blkdiag((A - theta I)^{-1}, (-A^T - theta I)^{-1})``."""
-        # ``.T`` is a no-op on a vector and puts the state axis last on a
-        # block, so one expression broadcasts the factors over both.
-        return (self._k_diag * x.T + self._k_off * x[self._k_swap].T).T
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply ``(M - shift I)^{-1}`` to a vector ``(2n,)`` or block ``(2n, k)``.
 
-        The structured solves and port projections broadcast over trailing
-        columns, so a ``k``-column block amortizes the Python-level kernel
-        dispatch into BLAS calls; blocked applies count as ``k`` work units.
+        ``w = K^{-1} x``, then ``w - G (Z_c (V w))`` with ``G`` applied by
+        blocks.  Every step broadcasts over trailing columns, so a
+        ``k``-column block costs the same few BLAS calls as a vector;
+        blocked applies count as ``k`` work units.
         """
         x = np.asarray(x, dtype=complex)
         n = self.hamiltonian.order
@@ -131,23 +151,17 @@ class ShiftInvertOperator:
                 f"expected vector of length {2 * n} or block (2n, k),"
                 f" got shape {x.shape}"
             )
-        simo = self.hamiltonian.simo
-        p = simo.num_ports
-
-        w = self._solve_k(x)
-        # v = V w  (port projections)
-        v = np.concatenate([simo.apply_c(w[:n]), simo.apply_bt(w[n:])])
-        # t = Z (I + VKU Z)^-1 v
-        t = self._zcore_inv @ v
-        # u = U t
-        u = np.concatenate([simo.apply_b(t[:p]), simo.apply_ct(t[p:])])
-        result = w - self._solve_k(u)
-
+        # ``.T`` is a no-op on a vector and puts the state axis last on a
+        # block, so one expression broadcasts the factors over both.
+        w = (self._k_diag * x.T + self._k_off * x[self._k_swap].T).T
+        t = self._zcore_inv @ real_matmul(self._v, w)
+        w[:n] -= (self._g_top * t[self._col_of_state].T).T
+        w[n:] -= self._g_bottom @ t[self.hamiltonian.num_ports :]
         if self.hamiltonian.work is not None:
             self.hamiltonian.work.add(
                 operator_applies=1 if x.ndim == 1 else x.shape[1]
             )
-        return result
+        return w
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

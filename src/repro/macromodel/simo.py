@@ -14,9 +14,10 @@ Globally ``A = blkdiag{A_k}``, ``B = blkdiag{u_k}``, ``C = [C_1 ... C_p]``
 ``2n`` nonzeros and ``B`` has ``n``.  All kernels below exploit this:
 resolvent solves ``(A - theta I)^{-1} x`` cost O(n), transfer evaluations
 and the Gramian-like products needed by the Sherman-Morrison-Woodbury
-shift-invert cost O(n p).  The shift-invert builds the resolvent factors
-once per shift, so each of its applies is two fused elementwise passes
-plus the O(n p) port projections.
+shift-invert cost O(n p).  The Hamiltonian operators read ``A`` and the
+shifted resolvent in one factored form, ``diag * x + off * x[swap]``, and
+keep ``B`` and ``C`` as dense port factors, so each of their applies is two
+fused elementwise passes plus a few O(n p) GEMVs.
 
 Kernel complexity and batching
 ------------------------------
@@ -29,7 +30,9 @@ passes instead of per-point Python loops:
 ======================================  ==========  ==========================
 kernel                                  cost        batched form
 ======================================  ==========  ==========================
-``apply_a/apply_b/apply_bt/apply_c``    O(n k)      ``(n, k)`` blocks broadcast
+``state_factors``                       O(n)        once per operator: the
+                                                    ``(diag, off, swap)``
+                                                    factors of ``A``
 ``shifted_inverse_factors``             O(n)        once per shift: the
                                                     ``(diag, off, swap)``
                                                     factors of the inverse
@@ -43,6 +46,10 @@ kernel                                  cost        batched form
                                                     plus ``p`` GEMMs into
                                                     ``(K, p, p)``
 ``frequency_response``                  O(K n p)    loop-free over the grid
+``dense_b`` / ``c``                     O(n p)      once per Hamiltonian
+                                                    operator: the dense port
+                                                    factors ``blkdiag(B, C^T)``
+                                                    and ``blkdiag(C, B^T)``
 ======================================  ==========  ==========================
 """
 
@@ -315,29 +322,28 @@ class SimoRealization:
     # ------------------------------------------------------------------
     # O(n) structured kernels
     # ------------------------------------------------------------------
-    def apply_a(self, x: np.ndarray, *, transpose: bool = False) -> np.ndarray:
-        """Compute ``A x`` (or ``A^T x``) in O(n)."""
-        x = np.asarray(x)
-        out = np.zeros_like(x, dtype=np.result_type(x.dtype, float))
-        if self.real_pos.size:
-            out[self.real_pos] = self.real_val * x[self.real_pos] if x.ndim == 1 else (
-                self.real_val[:, None] * x[self.real_pos]
-            )
-        if self.pair_pos.size:
-            beta = -self.pair_beta if transpose else self.pair_beta
-            if x.ndim == 1:
-                x0 = x[self.pair_pos]
-                x1 = x[self.pair_pos + 1]
-                out[self.pair_pos] = self.pair_alpha * x0 + beta * x1
-                out[self.pair_pos + 1] = -beta * x0 + self.pair_alpha * x1
-            else:
-                x0 = x[self.pair_pos]
-                x1 = x[self.pair_pos + 1]
-                out[self.pair_pos] = self.pair_alpha[:, None] * x0 + beta[:, None] * x1
-                out[self.pair_pos + 1] = (
-                    -beta[:, None] * x0 + self.pair_alpha[:, None] * x1
-                )
-        return out
+    def state_factors(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``A`` in the factored form ``diag * x + off * x[swap]``.
+
+        The same layout as :meth:`shifted_inverse_factors`: a real-pole
+        state scales itself, and each state of a complex pair mixes with
+        its partner through ``off``.  Applying ``A`` to a vector ``(n,)``
+        or block ``(n, k)`` is then two elementwise passes in O(n k).
+
+        Returns
+        -------
+        (diag, off, swap):
+            Real length-``n`` arrays ``diag`` and ``off`` and the pair
+            permutation ``swap`` (``off`` is zero on real-pole states).
+        """
+        diag = np.zeros(self.order)
+        off = np.zeros(self.order)
+        diag[self.real_pos] = self.real_val
+        diag[self.pair_pos] = self.pair_alpha
+        diag[self.pair_pos + 1] = self.pair_alpha
+        off[self.pair_pos] = self.pair_beta
+        off[self.pair_pos + 1] = -self.pair_beta
+        return diag, off, self.pair_swap
 
     def shifted_inverse_factors(
         self, shift: complex, *, transpose: bool = False
@@ -455,28 +461,6 @@ class SimoRealization:
             out[:, self.pair_pos] = solved[:, :, 0]
             out[:, self.pair_pos + 1] = solved[:, :, 1]
         return out
-
-    def apply_b(self, u: np.ndarray) -> np.ndarray:
-        """Compute ``B u`` for ``u`` of shape ``(p,)`` or ``(p, k)`` — O(n)."""
-        u = np.asarray(u)
-        if u.ndim == 1:
-            return self.b * u[self.col_of_state]
-        return self.b[:, None] * u[self.col_of_state]
-
-    def apply_bt(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``B^T x`` for ``x`` of shape ``(n,)`` or ``(n, k)`` — O(n)."""
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return segment_sum(self.b * x, self.col_starts)
-        return segment_sum(self.b[:, None] * x, self.col_starts)
-
-    def apply_c(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``C x`` — O(n p)."""
-        return self.c @ np.asarray(x)
-
-    def apply_ct(self, y: np.ndarray) -> np.ndarray:
-        """Compute ``C^T y`` — O(n p)."""
-        return self.c.T @ np.asarray(y)
 
     # ------------------------------------------------------------------
     # Transfer-function evaluation

@@ -10,6 +10,7 @@ Sherman-Morrison-Woodbury shift-invert of eq. (6).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "solve_shifted_rot2_many",
     "apply_rot2",
     "orthonormalize_against",
+    "real_matmul",
     "relative_spacing",
 ]
 
@@ -262,15 +264,17 @@ def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int
     ("twice is enough", Kahan/Parlett) — each sweep is a pair of BLAS-2
     products, which is both faster and numerically tighter than one
     element-at-a-time modified Gram-Schmidt pass in floating point.  The
-    basis is read in place (a strided column slice is fine) and never
-    copied.
+    basis is read in place and never copied; both GEMVs are contiguous
+    when it is a C-contiguous ``(n, k)`` array or the transposed view
+    ``rows[:k].T`` of basis vectors stored as rows, the layout
+    :func:`~repro.core.arnoldi.build_arnoldi` keeps.
 
     Parameters
     ----------
     basis:
         ``(n, k)`` array with orthonormal columns (``k`` may be 0).
     vector:
-        Length-``n`` vector to orthogonalize.
+        Length-``n`` vector to orthogonalize (not modified).
     passes:
         Number of projection sweeps (2 is the robust default).
 
@@ -284,23 +288,43 @@ def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int
     """
     basis = np.asarray(basis)
     w = np.array(vector, dtype=np.result_type(vector, basis.dtype), copy=True)
+    # vdot conjugates its first argument, so this is ||w||^2 without the
+    # call overhead of np.linalg.norm.
+    original_norm = math.sqrt(np.vdot(w, w).real)
     k = basis.shape[1] if basis.ndim == 2 else 0
     coeffs = np.zeros(k, dtype=w.dtype)
-    original_norm = np.linalg.norm(w)
-    for _ in range(max(1, passes)):
-        if k == 0:
-            break
-        # (w^H V)^H equals V^H w without materializing the conjugated
-        # basis, which would copy all k columns at every call.
-        proj = (w.conj() @ basis).conj()
-        w -= basis @ proj
-        coeffs += proj
-    norm = float(np.linalg.norm(w))
+    if k:
+        for _ in range(max(1, passes)):
+            # (w^H V)^H equals V^H w without materializing the conjugated
+            # basis, which would copy all k columns at every call.
+            proj = (w.conj() @ basis).conj()
+            w -= basis @ proj
+            coeffs += proj
+    norm = math.sqrt(np.vdot(w, w).real)
     # Breakdown detection: the remainder is in span(basis) to machine
     # precision when its norm collapsed by ~eps relative to the input.
     if original_norm == 0.0 or norm <= 1e-14 * max(1.0, original_norm):
         return coeffs, 0.0, None
-    return coeffs, norm, w / norm
+    w /= norm
+    return coeffs, norm, w
+
+
+def real_matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Compute ``a @ x`` for a real matrix ``a`` without casting it to complex.
+
+    numpy promotes a real matrix to a complex copy before multiplying it
+    with a complex operand, which costs more than the product itself for
+    the port-factor GEMVs of the Hamiltonian operators.  A contiguous
+    complex ``x`` of shape ``(m,)`` or ``(m, k)`` is instead read as its
+    real view ``(m, 2)`` or ``(m, 2k)``: one real GEMM, whose result is
+    viewed back as complex.
+    """
+    if not np.iscomplexobj(x):
+        return a @ x
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    if x.ndim == 1:
+        return (a @ x.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+    return (a @ x.view(np.float64)).view(np.complex128)
 
 
 def relative_spacing(values: np.ndarray) -> float:

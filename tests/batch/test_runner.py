@@ -10,6 +10,7 @@ import pytest
 from repro.api import Macromodel, RunConfig
 from repro.batch import BatchRunner, FleetReport, SynthJob, synth_fleet
 from repro.batch.jobs import BatchJob, TouchstoneJob
+from repro.batch import runner as runner_module
 from repro.batch.runner import _execute_job, JobSettings
 
 
@@ -129,6 +130,42 @@ class TestProcessBackend:
         # The inner sweep ran on the auto backend (thread queue), not a
         # nested process pool.
         assert result.session["config"]["backend"] == "auto"
+
+
+class _NoSleepTime:
+    """Stands in for the runner's ``time`` module: sleeping fails the test."""
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    @staticmethod
+    def sleep(seconds):
+        raise AssertionError(f"the runner slept {seconds!r} s")
+
+
+class TestProcessBackendWaitsOnPipes:
+    """The process backend blocks on worker pipes and sentinels, bounded by
+    the nearest deadline, instead of sleep-polling between reaps."""
+
+    @pytest.fixture(autouse=True)
+    def no_sleep(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "time", _NoSleepTime())
+
+    def test_job_collected_without_sleeping(self):
+        job = SynthJob(name="s", order_per_column=6, seed=50)
+        report = BatchRunner(backend="process", workers=1).run([job])
+        assert report.all_ok
+        assert report.backend == "process"
+
+    def test_overrun_terminated_without_sleeping(self):
+        started = time.perf_counter()
+        report = BatchRunner(backend="process", workers=1, timeout=0.5).run(
+            [SleepJob(name="hang", seconds=60.0)]
+        )
+        assert time.perf_counter() - started < 30.0
+        hung = report.result("hang")
+        assert hung.status == "timeout"
+        assert "terminated" in hung.error
 
 
 class TestThreadBackend:

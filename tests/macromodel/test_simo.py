@@ -92,22 +92,24 @@ class TestAgainstDense:
         for s in (1.0j, 0.1 + 7.0j):
             np.testing.assert_allclose(simo.transfer(s), ss.transfer(s), atol=1e-10)
 
-    def test_apply_a(self, simo, rng):
+    @staticmethod
+    def _apply(factors, x):
+        diag, off, swap = factors
+        return (diag * x.T + off * x[swap].T).T
+
+    def test_state_factors(self, simo, rng):
         a = simo.dense_a()
         x = rng.standard_normal(simo.order) + 1j * rng.standard_normal(simo.order)
-        np.testing.assert_allclose(simo.apply_a(x), a @ x, atol=1e-12)
-
-    def test_apply_a_transpose(self, simo, rng):
-        a = simo.dense_a()
-        x = rng.standard_normal(simo.order) + 0j
         np.testing.assert_allclose(
-            simo.apply_a(x, transpose=True), a.T @ x, atol=1e-12
+            self._apply(simo.state_factors(), x), a @ x, atol=1e-12
         )
 
-    def test_apply_a_matrix_input(self, simo, rng):
+    def test_state_factors_block_input(self, simo, rng):
         a = simo.dense_a()
         x = rng.standard_normal((simo.order, 3))
-        np.testing.assert_allclose(simo.apply_a(x), a @ x, atol=1e-12)
+        np.testing.assert_allclose(
+            self._apply(simo.state_factors(), x), a @ x, atol=1e-12
+        )
 
     def test_solve_shifted(self, simo, rng):
         a = simo.dense_a()
@@ -142,22 +144,6 @@ class TestAgainstDense:
         )
         with pytest.raises(ZeroDivisionError):
             simo.solve_shifted(complex(pole), np.ones(simo.order))
-
-    def test_apply_b(self, simo, rng):
-        b = simo.dense_b()
-        u = rng.standard_normal(simo.num_ports)
-        np.testing.assert_allclose(simo.apply_b(u), b @ u, atol=1e-12)
-
-    def test_apply_bt(self, simo, rng):
-        b = simo.dense_b()
-        x = rng.standard_normal(simo.order) + 1j * rng.standard_normal(simo.order)
-        np.testing.assert_allclose(simo.apply_bt(x), b.T @ x, atol=1e-12)
-
-    def test_apply_c_ct(self, simo, rng):
-        x = rng.standard_normal(simo.order)
-        y = rng.standard_normal(simo.num_ports)
-        np.testing.assert_allclose(simo.apply_c(x), simo.c @ x)
-        np.testing.assert_allclose(simo.apply_ct(y), simo.c.T @ y)
 
     def test_gamma_definition(self, simo):
         a = simo.dense_a()
